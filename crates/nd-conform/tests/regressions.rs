@@ -86,8 +86,8 @@ const CORPUS: &[(&str, u64)] = &[
     // paths each re-captured wall-clock timings into SEC_META and the
     // "re-save after CoW promotion is bit-identical" check failed
     // whenever the two rebuilds crossed a millisecond boundary
-    // differently. Fixed by canonicalizing saved timings to zero
-    // (save_index_bytes is now a pure function of logical state).
+    // differently. Timings are now a never-persisted `Timings` value,
+    // so save_index_bytes writes logical state only.
     ("mmap-cow-resave-timing", 5038869353284556469),
 ];
 

@@ -408,7 +408,7 @@ impl ServerPool {
             .field_u64("worker_panics", self.worker_panics());
         let mut o = JsonObject::new();
         o.field_raw("server", &server.finish())
-            .field_raw("prepare", &snap.stats().to_json())
+            .field_raw("prepare", &snap.stats().to_json(snap.timings()))
             .field_raw("requests", &self.metrics_snapshot().to_json());
         for (name, json) in extra {
             o.field_raw(name, json);

@@ -107,7 +107,10 @@ pub fn handle_command(pool: &ServerPool, line: &str) -> Option<Reply> {
         "quit" | "exit" => return Some(Reply::Quit),
         "help" => PROTOCOL_HELP.to_string(),
         "metrics" => pool.metrics_json(),
-        "stats" => pool.snapshot().stats().to_json(),
+        "stats" => {
+            let snap = pool.snapshot();
+            snap.stats().to_json(snap.timings())
+        }
         "test" | "next" => match parse_csv_tuple(rest) {
             Ok(tuple) => {
                 let req = if cmd == "test" {

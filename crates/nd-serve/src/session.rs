@@ -278,6 +278,7 @@ impl Session {
         };
         let update_ms = t0.elapsed().as_millis() as u64;
         let lineage = applied.lineage().clone();
+        let apply_ms = applied.timings().update_ms;
         // The mutated graph is a fresh allocation: every cached snapshot
         // (keyed on graph identity) is stale, exactly as after `swap`.
         self.graph = applied.graph_shared();
@@ -292,7 +293,7 @@ impl Session {
             lineage.epoch,
             lineage.repaired_bags,
             lineage.rebuilt,
-            lineage.update_ms,
+            apply_ms,
         )
     }
 

@@ -11,7 +11,7 @@
 
 use crate::error::ServeError;
 use crate::request::{Request, Response};
-use nd_core::{PrepareError, PrepareOpts, PrepareStats, SharedPreparedQuery};
+use nd_core::{PrepareError, PrepareOpts, PrepareStats, SharedPreparedQuery, Timings};
 use nd_graph::ColoredGraph;
 use nd_logic::ast::Query;
 use std::sync::Arc;
@@ -20,6 +20,7 @@ use std::time::Instant;
 struct SnapshotInner {
     query: SharedPreparedQuery,
     stats: PrepareStats,
+    timings: Timings,
     /// The parsed query, kept so operations that need to re-prepare or
     /// repair the index (`commit`) never re-parse `query_src` — the
     /// display form is not guaranteed to round-trip through the parser.
@@ -48,10 +49,10 @@ impl Snapshot {
     ) -> Result<Snapshot, PrepareError> {
         let t0 = Instant::now();
         let query = SharedPreparedQuery::prepare(graph, q, opts)?;
-        let stats = query.stats();
         Ok(Snapshot {
             inner: Arc::new(SnapshotInner {
-                stats,
+                stats: query.stats(),
+                timings: query.timings(),
                 ast: q.clone(),
                 query_src: q.to_string(),
                 build_ms: t0.elapsed().as_millis() as u64,
@@ -71,10 +72,10 @@ impl Snapshot {
         query_src: String,
         build_ms: u64,
     ) -> Snapshot {
-        let stats = query.stats();
         Snapshot {
             inner: Arc::new(SnapshotInner {
-                stats,
+                stats: query.stats(),
+                timings: query.timings(),
                 ast,
                 query_src,
                 build_ms,
@@ -104,6 +105,11 @@ impl Snapshot {
     /// Index statistics captured at build time.
     pub fn stats(&self) -> &PrepareStats {
         &self.inner.stats
+    }
+
+    /// Index timings captured at build time.
+    pub fn timings(&self) -> &Timings {
+        &self.inner.timings
     }
 
     /// The query's source form (for logs and the metrics endpoint).

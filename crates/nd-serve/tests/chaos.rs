@@ -338,19 +338,14 @@ fn mmap_load_hostile_inputs_yield_typed_errors_and_keep_serving() {
         assert!(reply.starts_with("err read:"), "len {len}: {reply}");
     }
 
-    // Misaligned sections: an unpadded container whose version field
-    // claims the padded layout. The framing checks reject it before any
-    // unaligned zero-copy cast can happen.
+    // A retired format generation (the v3.1 version word) is refused by
+    // the framing check before any section is decoded or cast.
     {
-        let q = parse_query(QUERY).unwrap();
-        let prepared =
-            SharedPreparedQuery::prepare(chaos_graph().into_shared(), &q, &PrepareOpts::default())
-                .unwrap();
-        let mut lying = prepared.save_index_bytes_unpadded(&q, QUERY).unwrap();
-        lying[8..12].copy_from_slice(&nd_persist::current_version().to_le_bytes());
-        std::fs::write(&path, &lying).unwrap();
+        let mut retired = clean.clone();
+        retired[8..12].copy_from_slice(&0x0001_0003u32.to_le_bytes());
+        std::fs::write(&path, &retired).unwrap();
         let reply = line(session.handle(&cmd));
-        assert!(reply.starts_with("err read:"), "misaligned: {reply}");
+        assert!(reply.starts_with("err read:"), "retired version: {reply}");
     }
 
     // A directory and a missing file are read errors, not panics.

@@ -566,6 +566,7 @@ fn run_probes<G: Borrow<ColoredGraph>>(
     let n = prepared.graph().n();
     if args.stats {
         eprintln!("index: {:#?}", prepared.stats());
+        eprintln!("timings: {:#?}", prepared.timings());
     }
     for t in &args.tests {
         let tuple = parse_tuple(t, arity, n)?;
@@ -750,7 +751,7 @@ fn cmd_update(argv: Vec<String>) -> Result<(), CliError> {
     eprintln!(
         "applied {} mutation(s) in {}ms: epoch {}, log digest {:016x}, {outcome}",
         log.len(),
-        lin.update_ms,
+        updated.timings().update_ms,
         lin.epoch,
         lin.log_digest,
     );
