@@ -139,6 +139,17 @@ impl MaterializingEnumerator {
         }
     }
 
+    /// Wrap an answer set computed elsewhere (e.g. over the relational
+    /// database a Lemma 2.2 graph was reduced from). `solutions` must be
+    /// sorted and duplicate-free, as [`Self::prepare`] guarantees.
+    pub fn from_solutions(solutions: Vec<Vec<Vertex>>) -> Self {
+        assert!(
+            solutions.windows(2).all(|w| w[0] < w[1]),
+            "solutions must be strictly lexicographically increasing"
+        );
+        MaterializingEnumerator { solutions }
+    }
+
     pub fn len(&self) -> usize {
         self.solutions.len()
     }

@@ -11,6 +11,7 @@
 //! cargo run --release -p nd-bench --bin experiments -- a9 --smoke   # incremental update
 //! cargo run --release -p nd-bench --bin experiments -- a10 --smoke  # flat store layout
 //! cargo run --release -p nd-bench --bin experiments -- a11 --smoke  # zero-copy mmap load
+//! cargo run --release -p nd-bench --bin experiments -- e10 --smoke  # Lemma 2.2 agreement
 //! ```
 //!
 //! `--smoke` is an alias for `--quick` (CI-sized sweeps).
@@ -541,12 +542,20 @@ fn e9_kernel(cfg: &Config) {
     }
 }
 
-/// E10 — Lemma 2.2: reduction sizes and agreement.
+/// E10 — Lemma 2.2: reduction sizes, the rung each query lands on, the
+/// cost of preparing it there, and agreement with the database answers.
+/// Runs the three queries of the repository's Lemma 2.2 integration test;
+/// any disagreement with `materialize_db` fails the binary.
 fn e10_relational(cfg: &Config) {
-    println!("\n[E10] relational reduction (Lemma 2.2): A'(D) blowup + agreement");
+    println!("\n[E10] relational reduction (Lemma 2.2): A'(D) blowup, rung, prepare, agreement");
     use nd_graph::relational::{adjacency_graph, RelationalDb};
     use nd_logic::eval::materialize_db;
     use nd_logic::relational::rewrite_to_graph;
+    const QUERIES: &[&str] = &[
+        "R(x, y)",
+        "R(x, y) && S(y)",
+        "exists z. (R(x, z) && R(y, z)) && x != y",
+    ];
     let t = Table::new(
         &[
             "papers",
@@ -554,12 +563,19 @@ fn e10_relational(cfg: &Config) {
             "|A'(D)|",
             "‖A'(D)‖",
             "build",
+            "query",
+            "rung",
+            "prepare",
             "answers",
             "agree",
         ],
-        &[7, 8, 8, 9, 9, 8, 6],
+        &[7, 8, 8, 9, 9, 42, 14, 9, 8, 6],
     );
-    let sizes: &[usize] = if cfg.quick { &[50] } else { &[50, 100] };
+    let sizes: &[usize] = if cfg.quick {
+        &[50, 100]
+    } else {
+        &[50, 100, 200, 400]
+    };
     for &n in sizes {
         let mut db = RelationalDb::new(n);
         let mut tuples = Vec::new();
@@ -576,21 +592,43 @@ fn e10_relational(cfg: &Config) {
                 .map(|p| vec![p])
                 .collect(),
         );
-        let phi = parse_query("R(x, y) && S(y)").unwrap();
         let ((g, mapping), build) = time_it(|| adjacency_graph(&db));
-        let psi = rewrite_to_graph(&phi, &mapping);
-        let want = materialize_db(&db, &phi);
-        let pq = PreparedQuery::prepare(&g, &psi, &PrepareOpts::default()).unwrap();
-        let got: Vec<_> = pq.enumerate().collect();
-        t.row(&[
-            format!("{n}"),
-            format!("{}", db.size()),
-            format!("{}", g.n()),
-            format!("{}", g.size()),
-            fmt_dur(build),
-            format!("{}", want.len()),
-            format!("{}", got == want),
-        ]);
+        for &src in QUERIES {
+            let phi = parse_query(src).unwrap();
+            let psi = rewrite_to_graph(&phi, &mapping);
+            let want = materialize_db(&db, &phi);
+            let (pq, prepare) =
+                time_it(|| PreparedQuery::prepare(&g, &psi, &PrepareOpts::default()).unwrap());
+            let got: Vec<_> = pq.enumerate().collect();
+            let rung = pq.stats().rung.name();
+            let agree = got == want;
+            t.row(&[
+                format!("{n}"),
+                format!("{}", db.size()),
+                format!("{}", g.n()),
+                format!("{}", g.size()),
+                fmt_dur(build),
+                src.to_string(),
+                rung.to_string(),
+                fmt_dur(prepare),
+                format!("{}", want.len()),
+                format!("{agree}"),
+            ]);
+            emit_json(cfg.json, "e10", |o| {
+                o.field_u64("papers", n as u64)
+                    .field_str("query", src)
+                    .field_str("rung", rung)
+                    .field_f64("prepare_ms", prepare.as_secs_f64() * 1e3)
+                    .field_u64("answers", want.len() as u64)
+                    .field_bool("agree", agree);
+            });
+            assert!(
+                agree,
+                "E10: {src} over {n} papers answers {} tuples, the database {}",
+                got.len(),
+                want.len()
+            );
+        }
     }
 }
 

@@ -15,6 +15,12 @@
 //! and shrinks any failure to a locally minimal, seed-reproducible
 //! counterexample via [`nd_logic::shrink_query`].
 //!
+//! Every fourth case index also runs a relational case
+//! ([`run_relational_case`]): a seeded small database and a random
+//! relational query, reduced by Lemma 2.2 (`adjacency_graph` +
+//! `rewrite_to_graph`) and answered by every configuration on the graph,
+//! diffed against `materialize_db` on the database.
+//!
 //! Everything is deterministic: [`run`] with the same [`ConformOpts`]
 //! produces the same cases, probes and verdicts on any platform. A
 //! failure report therefore *is* a reproduction recipe — `case_seed`
@@ -33,9 +39,12 @@ use nd_core::{
     VerifyPolicy,
 };
 use nd_graph::json::{JsonArray, JsonObject};
+use nd_graph::relational::{adjacency_graph, RelationalDb};
 use nd_graph::{generators, ColoredGraph, Vertex};
 use nd_logic::ast::Query;
-use nd_logic::grammar::{is_deletion_monotone, random_query, GrammarOpts};
+use nd_logic::eval::materialize_db;
+use nd_logic::grammar::{is_deletion_monotone, random_query, random_relational_query, GrammarOpts};
+use nd_logic::relational::rewrite_to_graph;
 use nd_logic::shrink_query;
 use nd_serve::protocol::{fmt_tuple, handle_command, Reply};
 use nd_serve::{ServeOpts, ServerPool, Snapshot};
@@ -157,6 +166,8 @@ impl Disagreement {
 pub struct ConformReport {
     pub seed: u64,
     pub cases: usize,
+    /// Relational (Lemma 2.2) cases run beside the graph cases.
+    pub relational_cases: usize,
     /// Engine configurations actually diffed (prepare succeeded).
     pub configs_checked: u64,
     /// Configurations skipped on a *tolerated* typed prepare error
@@ -169,6 +180,13 @@ pub struct ConformReport {
 }
 
 impl ConformReport {
+    fn absorb(&mut self, outcome: CaseOutcome) {
+        self.configs_checked += outcome.configs_checked;
+        self.skipped += outcome.skipped;
+        self.probes += outcome.probes;
+        self.disagreements.extend(outcome.disagreements);
+    }
+
     /// Did every configuration agree on every case?
     pub fn ok(&self) -> bool {
         self.disagreements.is_empty()
@@ -183,6 +201,7 @@ impl ConformReport {
         o.field_str("experiment", "conform")
             .field_u64("seed", self.seed)
             .field_u64("cases", self.cases as u64)
+            .field_u64("relational_cases", self.relational_cases as u64)
             .field_u64("configs_checked", self.configs_checked)
             .field_u64("skipped", self.skipped)
             .field_u64("probes", self.probes)
@@ -860,12 +879,21 @@ fn check_engine(
 /// shrinking predicate: cheap to state, recomputes the oracle per
 /// candidate.
 fn config_fails(g: &ColoredGraph, q: &Query, config: Config) -> bool {
-    let oracle = MaterializingEnumerator::prepare(g, q);
+    engine_fails(g, q, &MaterializingEnumerator::prepare(g, q), config)
+}
+
+/// Does `config` disagree with `oracle` on `(g, q)` in any way?
+fn engine_fails(
+    g: &ColoredGraph,
+    q: &Query,
+    oracle: &MaterializingEnumerator,
+    config: Config,
+) -> bool {
     let mut s = Stream(q.arity() as u64 ^ 0x5eed);
-    let probes = make_probes(g, q.arity(), &oracle, &mut s);
+    let probes = make_probes(g, q.arity(), oracle, &mut s);
     match build_engine(g, q, config) {
         Err(_) => !config.tolerates_errors(),
-        Ok(mut engine) => !check_engine(&mut *engine, &oracle, &probes, &mut 0).is_empty(),
+        Ok(mut engine) => !check_engine(&mut *engine, oracle, &probes, &mut 0).is_empty(),
     }
 }
 
@@ -1091,6 +1119,88 @@ pub fn describe_case(case_seed: u64, max_n: usize) -> String {
     format!("{desc} n={} :: {q} (arity {})", g.n(), q.arity())
 }
 
+/// Files disagreements for one case: identifies the case and shrinks the
+/// failing query when asked.
+struct Recorder<'q> {
+    case_seed: u64,
+    /// Input description (graph family or database shape).
+    graph: String,
+    /// The query as generated — the subject of shrinking.
+    query: &'q Query,
+    shrink: bool,
+}
+
+impl Recorder<'_> {
+    /// Record a disagreement; `fails(cand)` replays the failing check on a
+    /// shrink candidate of the case query.
+    fn record(
+        &self,
+        out: &mut CaseOutcome,
+        config: String,
+        check: String,
+        detail: String,
+        fails: &mut dyn FnMut(&Query) -> bool,
+    ) {
+        let minimized = if self.shrink {
+            let min = shrink_query(self.query, |cand| fails(cand));
+            (min.formula != self.query.formula).then(|| min.to_string())
+        } else {
+            None
+        };
+        out.disagreements.push(Disagreement {
+            case_seed: self.case_seed,
+            config,
+            check,
+            graph: self.graph.clone(),
+            query: self.query.to_string(),
+            minimized,
+            detail,
+        });
+    }
+}
+
+/// Diff every configuration on `(g, q)` against `oracle`. `fails(cand,
+/// config)` replays `config` on a shrink candidate of the recorder's
+/// query.
+#[allow(clippy::too_many_arguments)]
+fn diff_configs(
+    rep: &Recorder<'_>,
+    g: &ColoredGraph,
+    q: &Query,
+    oracle: &MaterializingEnumerator,
+    probes: &[Vec<Vertex>],
+    serve: bool,
+    out: &mut CaseOutcome,
+    fails: &dyn Fn(&Query, Config) -> bool,
+) {
+    for config in configs(serve, q.arity()) {
+        match build_engine(g, q, config) {
+            Err(_) if config.tolerates_errors() => out.skipped += 1,
+            Err(e) => {
+                rep.record(out, config.label(), "prepare".into(), e, &mut |cand| {
+                    fails(cand, config)
+                });
+            }
+            Ok(mut engine) => {
+                out.configs_checked += 1;
+                // One representative (the first) failure per configuration:
+                // a broken engine usually fails dozens of probes at once,
+                // and shrinking each would multiply the cost for no extra
+                // signal.
+                if let Some((check, detail)) =
+                    check_engine(&mut *engine, oracle, probes, &mut out.probes)
+                        .into_iter()
+                        .next()
+                {
+                    rep.record(out, config.label(), check, detail, &mut |cand| {
+                        fails(cand, config)
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// Run one conformance case. `serve` gates the (thread-spawning)
 /// serve-protocol configuration; `shrink` gates counterexample
 /// minimization; `update_ops` sizes the mutate-then-query sequence
@@ -1106,58 +1216,22 @@ pub fn run_case(
     let (g, graph_desc, q, mut s) = gen_case(case_seed, max_n);
     let oracle = MaterializingEnumerator::prepare(&g, &q);
     let probes = make_probes(&g, q.arity(), &oracle, &mut s);
-
-    let record = |out: &mut CaseOutcome,
-                  config: String,
-                  check: String,
-                  detail: String,
-                  fails: &mut dyn FnMut(&Query) -> bool| {
-        let minimized = if shrink {
-            let min = shrink_query(&q, |cand| fails(cand));
-            (min.formula != q.formula).then(|| min.to_string())
-        } else {
-            None
-        };
-        out.disagreements.push(Disagreement {
-            case_seed,
-            config,
-            check,
-            graph: graph_desc.clone(),
-            query: q.to_string(),
-            minimized,
-            detail,
-        });
+    let rep = Recorder {
+        case_seed,
+        graph: graph_desc,
+        query: &q,
+        shrink,
     };
-
-    for config in configs(serve, q.arity()) {
-        match build_engine(&g, &q, config) {
-            Err(e) if config.tolerates_errors() => {
-                let _ = e;
-                out.skipped += 1;
-            }
-            Err(e) => {
-                record(&mut out, config.label(), "prepare".into(), e, &mut |cand| {
-                    config_fails(&g, cand, config)
-                });
-            }
-            Ok(mut engine) => {
-                out.configs_checked += 1;
-                // One representative (the first) failure per configuration:
-                // a broken engine usually fails dozens of probes at once,
-                // and shrinking each would multiply the cost for no extra
-                // signal.
-                if let Some((check, detail)) =
-                    check_engine(&mut *engine, &oracle, &probes, &mut out.probes)
-                        .into_iter()
-                        .next()
-                {
-                    record(&mut out, config.label(), check, detail, &mut |cand| {
-                        config_fails(&g, cand, config)
-                    });
-                }
-            }
-        }
-    }
+    diff_configs(
+        &rep,
+        &g,
+        &q,
+        &oracle,
+        &probes,
+        serve,
+        &mut out,
+        &|cand, config| config_fails(&g, cand, config),
+    );
 
     // Mutate-then-query: apply a random mutation log incrementally under
     // every opts-bearing configuration, and diff the repaired index
@@ -1169,7 +1243,7 @@ pub fn run_case(
             Err(e) => {
                 // The generator only emits valid logs; this is a harness
                 // (or nd-update) defect, reported as such.
-                record(
+                rep.record(
                     &mut out,
                     "update-log".into(),
                     "update-apply".into(),
@@ -1190,7 +1264,7 @@ pub fn run_case(
                             continue;
                         }
                         Err(e) => {
-                            record(
+                            rep.record(
                                 &mut out,
                                 config.label(),
                                 "update-prepare".into(),
@@ -1208,7 +1282,7 @@ pub fn run_case(
                             continue;
                         }
                         Err(e) => {
-                            record(
+                            rep.record(
                                 &mut out,
                                 config.label(),
                                 "update-apply".into(),
@@ -1228,7 +1302,7 @@ pub fn run_case(
                             .into_iter()
                             .next()
                     {
-                        record(
+                        rep.record(
                             &mut out,
                             config.label(),
                             format!("update-{check}"),
@@ -1244,7 +1318,7 @@ pub fn run_case(
                         let got: Vec<Vec<Vertex>> = engine.pq.enumerate().collect();
                         let want: Vec<Vec<Vertex>> = fresh.enumerate().collect();
                         if let Some(d) = diff_tuples("update-vs-fresh", &got, &want) {
-                            record(
+                            rep.record(
                                 &mut out,
                                 config.label(),
                                 "update-vs-fresh".into(),
@@ -1264,7 +1338,7 @@ pub fn run_case(
             let victim = s.below(g.n() as u64) as Vertex;
             out.probes += 1;
             if let Some(detail) = update_deletion_fails(&g, &q, victim) {
-                record(
+                rep.record(
                     &mut out,
                     "indexed-eps=0.5".into(),
                     "update-deletion".into(),
@@ -1282,7 +1356,7 @@ pub fn run_case(
     let perm = generators::random_permutation(g.n(), s.next());
     out.probes += 1;
     if let Some(detail) = relabel_fails(&g, &q, &perm) {
-        record(
+        rep.record(
             &mut out,
             "indexed-eps=0.5".into(),
             "relabel".into(),
@@ -1296,7 +1370,7 @@ pub fn run_case(
         if let Some(victim) = (0..g.n() as Vertex).find(|v| !used.contains(v)) {
             out.probes += 1;
             if let Some(detail) = deletion_fails(&g, &q, victim) {
-                record(
+                rep.record(
                     &mut out,
                     "indexed-eps=0.5".into(),
                     "deletion".into(),
@@ -1312,6 +1386,97 @@ pub fn run_case(
 
     out
 }
+
+// ---------------------------------------------------------------------
+// Relational cases: Lemma 2.2 end to end.
+// ---------------------------------------------------------------------
+
+/// Regenerate the (database, query) a relational case seed denotes: a
+/// domain of 4–12 elements, a binary `R`, a unary `S`, on every other
+/// seed a ternary `T`, and a random relational query over that schema.
+fn gen_relational_case(case_seed: u64) -> (RelationalDb, String, Query, Stream) {
+    let mut s = Stream(case_seed);
+    let d = 4 + s.below(9);
+    let tuples = |s: &mut Stream, count: u64, arity: usize| -> Vec<Vec<u32>> {
+        (0..count)
+            .map(|_| (0..arity).map(|_| s.below(d) as u32).collect())
+            .collect()
+    };
+    let mut db = RelationalDb::new(d as usize);
+    let count = s.below(2 * d + 1);
+    db.add_relation("R", 2, tuples(&mut s, count, 2));
+    let unary = (0..d as u32)
+        .filter(|_| s.chance(1, 3))
+        .map(|p| vec![p])
+        .collect();
+    db.add_relation("S", 1, unary);
+    let ternary = s.chance(1, 2);
+    if ternary {
+        let count = s.below(d + 1);
+        db.add_relation("T", 3, tuples(&mut s, count, 3));
+    }
+    let sizes: Vec<String> = db
+        .relations
+        .iter()
+        .map(|(def, ts)| format!("|{}|={}", def.name, ts.len()))
+        .collect();
+    let desc = format!("db(domain={d}, {})", sizes.join(", "));
+    let q = random_relational_query(s.next(), ternary);
+    (db, desc, q, s)
+}
+
+/// Human-readable description of the relational case a seed denotes.
+pub fn describe_relational_case(case_seed: u64) -> String {
+    let (_, desc, q, _) = gen_relational_case(case_seed);
+    format!("{desc} :: {q} (arity {})", q.arity())
+}
+
+/// The Lemma 2.2 reduction of `(db, phi)`: the adjacency graph, the
+/// rewritten query and the database answers as the oracle.
+fn reduce(db: &RelationalDb, phi: &Query) -> (ColoredGraph, Query, MaterializingEnumerator) {
+    let (g, mapping) = adjacency_graph(db);
+    let psi = rewrite_to_graph(phi, &mapping);
+    let oracle = MaterializingEnumerator::from_solutions(materialize_db(db, phi));
+    (g, psi, oracle)
+}
+
+/// Run one relational case: reduce the database with `adjacency_graph`,
+/// rewrite the query with `rewrite_to_graph`, and diff every engine
+/// configuration on the graph against `materialize_db` on the database.
+/// Failing queries shrink as relational queries.
+pub fn run_relational_case(case_seed: u64, serve: bool, shrink: bool) -> CaseOutcome {
+    let mut out = CaseOutcome::default();
+    let (db, desc, phi, mut s) = gen_relational_case(case_seed);
+    let (g, psi, oracle) = reduce(&db, &phi);
+    let probes = make_probes(&g, psi.arity(), &oracle, &mut s);
+    let rep = Recorder {
+        case_seed,
+        graph: desc,
+        query: &phi,
+        shrink,
+    };
+    diff_configs(
+        &rep,
+        &g,
+        &psi,
+        &oracle,
+        &probes,
+        serve,
+        &mut out,
+        &|cand, config| {
+            let (g, psi, oracle) = reduce(&db, cand);
+            engine_fails(&g, &psi, &oracle, config)
+        },
+    );
+    out
+}
+
+/// Every `RELATIONAL_EVERY`-th case index of a run also runs a relational
+/// case.
+const RELATIONAL_EVERY: u64 = 4;
+
+/// Domain-separates relational case seeds from graph case seeds.
+const RELATIONAL_SEED_SALT: u64 = 0x1e22_a22d_b0de_0001;
 
 /// Run the full harness: `opts.cases` seeded cases, every configuration,
 /// all invariants, shrunk counterexamples.
@@ -1330,10 +1495,12 @@ pub fn run(opts: &ConformOpts) -> ConformReport {
             opts.shrink,
             opts.update_ops,
         );
-        report.configs_checked += outcome.configs_checked;
-        report.skipped += outcome.skipped;
-        report.probes += outcome.probes;
-        report.disagreements.extend(outcome.disagreements);
+        report.absorb(outcome);
+        if i % RELATIONAL_EVERY == 0 {
+            let seed = case_seed(opts.seed ^ RELATIONAL_SEED_SALT, i);
+            report.relational_cases += 1;
+            report.absorb(run_relational_case(seed, serve, opts.shrink));
+        }
     }
     report
 }

@@ -11,7 +11,7 @@
 //! then add the `case_seed` from the report here with a name saying what
 //! broke. The corpus only grows.
 
-use nd_conform::{describe_case, run_case};
+use nd_conform::{describe_case, describe_relational_case, run_case, run_relational_case};
 
 /// `max_n` the corpus seeds were curated under — part of the seed's
 /// meaning (graph sizes derive from it), so it must not drift.
@@ -108,12 +108,40 @@ fn corpus_stays_clean() {
     }
 }
 
+/// Relational (Lemma 2.2) case seeds: a generated database reduced by
+/// `adjacency_graph`, the query rewritten by `rewrite_to_graph`, every
+/// configuration diffed against `materialize_db` (verify with
+/// `nd_conform::describe_relational_case(seed)`).
+const RELATIONAL_CORPUS: &[(&str, u64)] = &[
+    // Arity 2 over domain 6 with a ternary relation: a negated `T` atom,
+    // a universal over `T` and a unary `S` in one disjunction. The
+    // rewritten `∀` carries the `¬@elem(v) ∨ …` guard and every atom
+    // becomes a nested edge-guarded existential, so the naive rung runs
+    // on guarded candidates at both polarities.
+    ("relational-ternary-forall-union", 335329310931697728),
+];
+
+#[test]
+fn relational_corpus_stays_clean() {
+    for &(name, seed) in RELATIONAL_CORPUS {
+        let outcome = run_relational_case(seed, true, true);
+        assert!(
+            outcome.disagreements.is_empty(),
+            "regression {name:?} ({}):\n{:#?}",
+            describe_relational_case(seed),
+            outcome.disagreements
+        );
+        assert!(outcome.configs_checked > 0, "{name}: nothing ran");
+    }
+}
+
 #[test]
 fn corpus_names_are_unique() {
-    let mut names: Vec<&str> = CORPUS.iter().map(|&(n, _)| n).collect();
+    let all = || CORPUS.iter().chain(RELATIONAL_CORPUS);
+    let mut names: Vec<&str> = all().map(|&(n, _)| n).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), CORPUS.len(), "duplicate corpus names");
+    assert_eq!(names.len(), all().count(), "duplicate corpus names");
 }
 
 #[test]

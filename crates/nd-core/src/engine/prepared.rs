@@ -45,7 +45,7 @@ use nd_graph::par::try_parallel_map;
 use nd_graph::BfsScratch;
 use nd_graph::{ColoredGraph, Vertex};
 use nd_logic::ast::{ColorRef, Formula, Query};
-use nd_logic::eval::eval;
+use nd_logic::guarded;
 use nd_logic::locality::evaluate_unary;
 use nd_persist::{
     malformed, parse_container_frames, ContainerWriter, DeferredVerify, MmapFile, PersistError,
@@ -1089,7 +1089,7 @@ impl BranchEngine {
         let n = g.n();
         // Step 1: sentences (the ξ analogues). Independence sentences get
         // the fast scattered-set decision of Theorem 5.4's toolbox; other
-        // sentences fall back to naive model checking. Each check touches
+        // sentences go to the guarded evaluator. Each check touches
         // the whole vertex set at least once.
         let mut active = true;
         for s in &fq.sentences {
@@ -1098,7 +1098,7 @@ impl BranchEngine {
                 let witnesses = evaluate_unary(g, &ind.psi, ind.var);
                 crate::independence::holds(g, &ind, &witnesses)
             } else {
-                eval(g, &Query::new(s.clone(), vec![]), &[])
+                guarded::eval(g, &Query::new(s.clone(), vec![]), &[])
             };
             if !holds {
                 active = false;
@@ -1244,7 +1244,7 @@ impl BranchEngine {
                 let witnesses = evaluate_unary(new_g, &ind.psi, ind.var);
                 crate::independence::holds(new_g, &ind, &witnesses)
             } else {
-                eval(new_g, &Query::new(s.clone(), vec![]), &[])
+                guarded::eval(new_g, &Query::new(s.clone(), vec![]), &[])
             };
             if !holds {
                 active = false;

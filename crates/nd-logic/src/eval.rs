@@ -1,11 +1,13 @@
-//! Naive FO⁺ evaluation — the semantics of record.
+//! Reference FO⁺ evaluation — the semantics of record.
 //!
 //! Evaluation is direct structural recursion: quantifiers loop over the full
 //! domain, so checking a sentence of quantifier rank `q` costs `O(n^q)` per
 //! tuple and materializing a `k`-ary query costs `O(n^{k+q})` atom
-//! evaluations. This is intentionally the *baseline* the paper's machinery
-//! beats; every indexed structure in `nd-core` is property-tested against
-//! these functions.
+//! evaluations. These functions define what every other evaluator must
+//! answer: the indexed structures in `nd-core`, the guarded production
+//! evaluator in [`crate::guarded`], `nd-baseline` and the `nd-conform`
+//! oracle are all tested against them. Production code paths use
+//! [`crate::guarded`].
 
 use crate::ast::{ColorRef, Formula, Query, VarId};
 use nd_graph::bfs::BfsScratch;

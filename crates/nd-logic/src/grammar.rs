@@ -192,6 +192,198 @@ fn random_unary(s: &mut Stream, v: VarId, opts: &GrammarOpts) -> Formula {
     }
 }
 
+/// Generate one deterministic random first-order query over the colored
+/// graph schema: `E`, the colors of `opts`, `=` and `dist ≤ d` atoms
+/// under arbitrary `¬`, `∧`, `∨`, `∃` and `∀` nesting.
+///
+/// Unlike [`random_query`], the result is not shaped like the
+/// distance-type fragment: quantifiers may re-bind a variable already in
+/// scope, atoms may repeat a variable (`E(v,v)`), and most quantifiers
+/// carry a guard (`E(u,v)`, `C(v)` or `v = u` conjoined under `∃`,
+/// negated and disjoined under `∀`) so guarded evaluation has something
+/// to exploit, some of them a two-hop path `∃w (E(u,w) ∧ E(w,v))`. Up to
+/// three answer variables, drawn from `v0..v3` in a random order; an
+/// answer variable may be unused (unconstrained).
+pub fn random_fo_query(seed: u64, opts: &GrammarOpts) -> Query {
+    let mut gen = FoGen {
+        s: Stream(seed ^ FO_STREAM_SALT),
+        vocab: Vocab::Graph(&opts.colors),
+        scope: Vec::new(),
+    };
+    let k = gen.s.below(4) as usize;
+    let mut pool: Vec<VarId> = (0..FO_VARS).map(VarId).collect();
+    for _ in 0..k {
+        let v = pool.remove(gen.s.below(pool.len() as u64) as usize);
+        gen.scope.push(v);
+    }
+    let free = gen.scope.clone();
+    Query::new(gen.formula(3), free)
+}
+
+/// Generate one deterministic random query over the relational schema
+/// `{R/2, S/1}` (plus `T/3` when `ternary`): relational atoms and `=`
+/// under `¬`, `∧`, `∨`, `∃` and `∀`, at most two quantifiers deep, with
+/// answer variables `v0..v{k-1}` for `k ≤ 2`. Input for the Lemma 2.2
+/// reduction ([`crate::relational::rewrite_to_graph`]).
+pub fn random_relational_query(seed: u64, ternary: bool) -> Query {
+    let mut gen = FoGen {
+        s: Stream(seed ^ RELATIONAL_STREAM_SALT),
+        vocab: Vocab::Relational { ternary },
+        scope: Vec::new(),
+    };
+    let k = gen.s.below(3) as u32;
+    gen.scope = (0..k).map(VarId).collect();
+    let free = gen.scope.clone();
+    Query::new(gen.formula(2), free)
+}
+
+/// Variables `v0..v{FO_VARS-1}` the general generators draw from; few
+/// enough that re-binding a variable in scope is common.
+const FO_VARS: u32 = 4;
+
+/// Atom vocabulary of the general generators.
+enum Vocab<'a> {
+    /// Colored graph atoms with these color names.
+    Graph(&'a [String]),
+    /// Relational atoms over `R/2`, `S/1` and optionally `T/3`.
+    Relational { ternary: bool },
+}
+
+/// Scope-aware generator behind [`random_fo_query`] and
+/// [`random_relational_query`]: atoms only mention variables in scope.
+struct FoGen<'a> {
+    s: Stream,
+    vocab: Vocab<'a>,
+    scope: Vec<VarId>,
+}
+
+impl FoGen<'_> {
+    fn var(&mut self) -> VarId {
+        self.scope[self.s.below(self.scope.len() as u64) as usize]
+    }
+
+    /// A variable in scope, usually distinct from `a` (the same one now
+    /// and then, for atoms like `E(v,v)`).
+    fn other(&mut self, a: VarId) -> VarId {
+        let others: Vec<VarId> = self.scope.iter().copied().filter(|&v| v != a).collect();
+        if others.is_empty() || self.s.chance(1, 6) {
+            a
+        } else {
+            others[self.s.below(others.len() as u64) as usize]
+        }
+    }
+
+    /// A formula of nesting depth at most `depth` (quantifiers and
+    /// connectives both count).
+    fn formula(&mut self, depth: u32) -> Formula {
+        if depth == 0 || (!self.scope.is_empty() && self.s.chance(1, 3)) {
+            return self.atom();
+        }
+        // With nothing in scope, only a quantifier leads to a real atom.
+        let shape = if self.scope.is_empty() {
+            3 + self.s.below(2)
+        } else {
+            self.s.below(5)
+        };
+        match shape {
+            0 => Formula::Not(Box::new(self.formula(depth - 1))),
+            1 | 2 => {
+                let parts = (0..2 + self.s.below(2)).map(|_| self.formula(depth - 1));
+                let parts: Vec<Formula> = parts.collect();
+                if self.s.chance(1, 2) {
+                    Formula::And(parts)
+                } else {
+                    Formula::Or(parts)
+                }
+            }
+            q => {
+                let exists = q == 3;
+                let v = VarId(self.s.below(FO_VARS as u64) as u32);
+                let guard = match self.vocab {
+                    Vocab::Graph(_) if self.s.chance(2, 3) => Some(self.guard(v)),
+                    _ => None,
+                };
+                self.scope.push(v);
+                let body = self.formula(depth - 1);
+                self.scope.pop();
+                match (exists, guard) {
+                    (true, Some(g)) => Formula::Exists(v, Box::new(Formula::And(vec![g, body]))),
+                    (false, Some(g)) => Formula::Forall(
+                        v,
+                        Box::new(Formula::Or(vec![Formula::Not(Box::new(g)), body])),
+                    ),
+                    (true, None) => Formula::Exists(v, Box::new(body)),
+                    (false, None) => Formula::Forall(v, Box::new(body)),
+                }
+            }
+        }
+    }
+
+    /// A guard atom for the quantified `v`, linked to a variable of the
+    /// enclosing scope when there is one (or to `v` itself: `E(v,v)`).
+    fn guard(&mut self, v: VarId) -> Formula {
+        let u = if self.scope.is_empty() {
+            v
+        } else {
+            self.other(v)
+        };
+        match self.s.below(4) {
+            0 => Formula::Edge(u, v),
+            1 => self.color(v),
+            2 => Formula::Eq(v, u),
+            _ => {
+                // A two-hop path through a fresh witness: the shape of a
+                // Lemma 2.2 atom, ∃w (E(u,w) ∧ E(w,v)).
+                let w = VarId(self.s.below(FO_VARS as u64) as u32);
+                let hops = Formula::And(vec![Formula::Edge(u, w), Formula::Edge(w, v)]);
+                Formula::Exists(w, Box::new(hops))
+            }
+        }
+    }
+
+    fn color(&mut self, v: VarId) -> Formula {
+        let name = match self.vocab {
+            Vocab::Graph(colors) if !colors.is_empty() => {
+                colors[self.s.below(colors.len() as u64) as usize].clone()
+            }
+            Vocab::Graph(_) => return Formula::True,
+            // `S(x)` parses as a color atom; over a database it denotes
+            // the unary relation.
+            Vocab::Relational { .. } => "S".to_string(),
+        };
+        Formula::Color(ColorRef::Named(name), v)
+    }
+
+    fn atom(&mut self) -> Formula {
+        if self.scope.is_empty() {
+            return if self.s.chance(1, 2) {
+                Formula::True
+            } else {
+                Formula::False
+            };
+        }
+        // Lean on the innermost binding so quantified variables get used.
+        let a = if self.s.chance(1, 2) {
+            self.scope[self.scope.len() - 1]
+        } else {
+            self.var()
+        };
+        let b = self.other(a);
+        match (&self.vocab, self.s.below(4)) {
+            (Vocab::Graph(_), 0) => Formula::Edge(a, b),
+            (Vocab::Graph(_), 1) => self.color(a),
+            (Vocab::Graph(_), 2) => Formula::Eq(a, b),
+            (Vocab::Graph(_), _) => Formula::DistLe(a, b, self.s.below(3) as u32),
+            (Vocab::Relational { .. }, 0) => Formula::Eq(a, b),
+            (Vocab::Relational { .. }, 1) => self.color(a),
+            (Vocab::Relational { ternary: true }, 2) => {
+                Formula::Rel("T".into(), vec![a, b, self.var()])
+            }
+            (Vocab::Relational { .. }, _) => Formula::Rel("R".into(), vec![a, b]),
+        }
+    }
+}
+
 /// Is the formula *monotone under vertex deletion*? Deleting a vertex can
 /// only shrink neighborhoods and lengthen distances, so a formula built
 /// without negation from `E`, colors, `=`, `dist ≤ d`, `∧`, `∨`, `∃` can
@@ -211,6 +403,8 @@ pub fn is_deletion_monotone(f: &Formula) -> bool {
 /// Domain-separates the query stream from other consumers of the same
 /// seed (the graph generator uses the raw seed).
 const GRAMMAR_STREAM_SALT: u64 = 0xc0f0_e11a_5eed_0001;
+const FO_STREAM_SALT: u64 = 0xc0f0_e11a_5eed_0002;
+const RELATIONAL_STREAM_SALT: u64 = 0xc0f0_e11a_5eed_0003;
 
 #[cfg(test)]
 mod tests {
@@ -230,6 +424,13 @@ mod tests {
             for (i, v) in q1.free.iter().enumerate() {
                 assert_eq!(v.0 as usize, i);
             }
+            // The general generators too: conformance seeds must replay.
+            assert_eq!(random_fo_query(seed, &opts), random_fo_query(seed, &opts));
+            let ternary = seed % 2 == 0;
+            assert_eq!(
+                random_relational_query(seed, ternary),
+                random_relational_query(seed, ternary)
+            );
         }
     }
 

@@ -12,13 +12,16 @@
 //! total cost `Σ_v ‖N_ρ(v)‖` is pseudo-linear, the shape Theorem 5.3
 //! promises.
 //!
-//! Unguarded formulas fall back to global naive evaluation (correct but
-//! quadratic) — the experiment harness reports when this happens.
+//! Unguarded formulas fall back to global evaluation with the guarded
+//! evaluator ([`crate::guarded`]): quantifiers with an edge, color or
+//! equality guard still iterate only their candidates, the rest loop over
+//! the whole graph.
 
 use crate::ast::{Formula, VarId};
-use crate::eval::{eval_in, Assignment, EvalCtx};
+use crate::guarded::{Compiled, Evaluator};
 use nd_graph::{BfsScratch, ColoredGraph, InducedSubgraph, Vertex};
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Result of the guardedness analysis: the locality radius, or `None` when
 /// the formula is not syntactically guarded.
@@ -153,8 +156,8 @@ fn walk(f: &Formula, env: &mut HashMap<VarId, u32>, reach: &mut u32) -> bool {
 pub fn evaluate_unary(g: &ColoredGraph, f: &Formula, root: VarId) -> Vec<Vertex> {
     if is_colorwise(f, root) {
         // Quantifier-free boolean combination of colors of the root: no
-        // neighborhood needed, evaluate per vertex directly.
-        return g.vertices().filter(|&v| eval_colorwise(g, f, v)).collect();
+        // neighborhood needed, so no ball subgraphs either.
+        return evaluate_unary_global(g, f, root);
     }
     match unary_locality(f, root) {
         Some(radius) => evaluate_unary_local(g, f, root, radius),
@@ -175,61 +178,40 @@ fn is_colorwise(f: &Formula, root: VarId) -> bool {
     }
 }
 
-fn eval_colorwise(g: &ColoredGraph, f: &Formula, v: Vertex) -> bool {
-    match f {
-        Formula::True => true,
-        Formula::False => false,
-        Formula::Color(c, _) => {
-            let cid = match c {
-                crate::ast::ColorRef::Id(i) => nd_graph::ColorId(*i),
-                crate::ast::ColorRef::Named(name) => g
-                    .color_by_name(name)
-                    .unwrap_or_else(|| panic!("unknown color {name:?}")),
-            };
-            g.has_color(v, cid)
-        }
-        Formula::Eq(..) => true, // x = x
-        Formula::Not(inner) => !eval_colorwise(g, inner, v),
-        Formula::And(fs) => fs.iter().all(|h| eval_colorwise(g, h, v)),
-        Formula::Or(fs) => fs.iter().any(|h| eval_colorwise(g, h, v)),
-        _ => unreachable!("guarded by is_colorwise"),
-    }
-}
-
 /// Per-vertex ball evaluation at the given radius (caller asserts locality).
+/// The formula is compiled once: the ball subgraphs keep `g`'s color table.
 pub fn evaluate_unary_local(
     g: &ColoredGraph,
     f: &Formula,
     root: VarId,
     radius: u32,
 ) -> Vec<Vertex> {
+    let compiled = Compiled::new(g, f, &[root]);
     let mut out = Vec::new();
     let mut scratch = BfsScratch::new(g.n());
     for v in g.vertices() {
         let ball = scratch.ball_sorted(g, v, radius);
         let sub = InducedSubgraph::new_small(g, &ball);
         let local_v = sub.to_local(v).expect("center is in its own ball");
-        let mut ctx = EvalCtx::new(&sub.graph);
-        let mut asg: Assignment = vec![None; root.0 as usize + 1];
-        asg[root.0 as usize] = Some(local_v);
-        if eval_in(&mut ctx, f, &mut asg) {
+        if Evaluator::new(&sub.graph, &compiled).holds(&[local_v]) {
             out.push(v);
         }
     }
     out
 }
 
-/// Global naive evaluation of a unary formula for every vertex.
+/// Global evaluation of a unary formula for every vertex: the root ranges
+/// over the candidates of its top-level guards (e.g. the members of a
+/// conjunct color), or over all vertices when it has none.
 pub fn evaluate_unary_global(g: &ColoredGraph, f: &Formula, root: VarId) -> Vec<Vertex> {
-    let mut ctx = EvalCtx::new(g);
+    let compiled = Compiled::new(g, f, &[root]);
     let mut out = Vec::new();
-    let mut asg: Assignment = vec![None; root.0 as usize + 1];
-    for v in g.vertices() {
-        asg[root.0 as usize] = Some(v);
-        if eval_in(&mut ctx, f, &mut asg) {
-            out.push(v);
+    let Ok(()) = Evaluator::new(g, &compiled).try_for_each(|tuple, holds| {
+        if holds {
+            out.push(tuple[0]);
         }
-    }
+        Ok::<(), Infallible>(())
+    });
     out
 }
 

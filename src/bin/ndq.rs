@@ -1488,9 +1488,10 @@ fn cmd_conform(argv: Vec<String>) -> Result<(), CliError> {
     }
 
     eprintln!(
-        "conform: seed={} cases={} configs={} probes={} skipped={} disagreements={} ({:.1}s)",
+        "conform: seed={} cases={} relational={} configs={} probes={} skipped={} disagreements={} ({:.1}s)",
         opts.seed,
         opts.cases,
+        report.relational_cases,
         report.configs_checked,
         report.probes,
         report.skipped,
