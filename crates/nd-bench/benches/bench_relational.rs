@@ -11,7 +11,7 @@ fn make_db(n: usize) -> RelationalDb {
     let mut tuples = Vec::new();
     for p in 1..n as u32 {
         tuples.push(vec![p, p / 2]);
-        tuples.push(vec![p, (p.wrapping_mul(7) + 1) % p]);
+        tuples.push(vec![p, (p.wrapping_mul(7) + 1) % n as u32]);
     }
     db.add_relation("R", 2, tuples);
     db.add_relation(

@@ -484,14 +484,10 @@ enum Config {
     },
     TightBudget,
     StrictNoFallback,
-    /// The flat-arena store layout on its own `ε` rung (0.75, exercised
-    /// nowhere else): the standing witness that the arena rewrite of
-    /// `nd-store` — per-level sorted key arrays behind a radix directory
-    /// instead of the node-allocated trie — answers exactly like the
-    /// naive semantics on every probe panel, including the
-    /// mutate-then-query dimension (the repair path rebuilds flat
-    /// arenas in place). A regression report naming `flat-store`
-    /// points at the store layout, not at an unrelated ε.
+    /// The indexed engine on its own `ε` (0.75, exercised nowhere else).
+    /// Since the cover stores each bag once as a sorted list, no engine
+    /// structure depends on `ε` and this config builds the same index as
+    /// the others; it stays until `ε` itself is retired (ROADMAP).
     FlatStore,
     NaiveStream,
     ServeProtocol,

@@ -73,7 +73,7 @@ const CORPUS: &[(&str, u64)] = &[
     // serializes, i.e. the most per-position slabs the zero-copy loader
     // maps — curated when `mmap-load` landed.
     ("mmap-load-star-union", 0xfeedbeef0002),
-    // gnm(8,12) with negated adjacency: a dense membership store behind
+    // gnm(8,12) with negated adjacency: dense bags and ball grids behind
     // the mapped pages, plus the CoW add-edge promotion on a graph where
     // absent edges are scarce.
     ("mmap-load-dense-gnm", 0x77aa22bb0001),

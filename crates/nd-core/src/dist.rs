@@ -27,7 +27,8 @@ use nd_splitter::splitter_move;
 /// Tuning knobs for the oracle construction.
 #[derive(Clone, Copy, Debug)]
 pub struct DistOracleOpts {
-    /// `ε` for the cover membership structures.
+    /// Accepted for API stability; no structure of the oracle depends on
+    /// it (each level stores its bags once, as sorted lists).
     pub epsilon: f64,
     /// Maximum recursion depth (the splitter-game round budget `λ`).
     pub max_rounds: u32,
@@ -121,15 +122,19 @@ impl BallGrid {
     }
 }
 
+/// One recursion level. Each bag is stored once, as `s_X` plus the
+/// sorted `X ∖ {s_X}` of its subgraph's embedding.
 #[derive(Clone)]
 struct SplitNode {
-    cover: Cover,
+    /// The cover's canonical bag `X(a)` per vertex of this level.
+    assignment: nd_persist::Slab<u32>,
     bags: Vec<BagNode>,
 }
 
 #[derive(Clone)]
 struct BagNode {
-    /// `X' = G[X ∖ {s_X}]`, vertex ids local to the *parent* level graph.
+    /// `X' = G[X ∖ {s_X}]`, vertex ids local to the *parent* level graph;
+    /// `sub.global_ids` together with `s` is the bag `X`.
     sub: InducedSubgraph,
     /// Splitter's answer for this bag (parent-level id).
     s: Vertex,
@@ -351,7 +356,11 @@ fn build_node(
         bags.push(BagNode { sub, s, ri, inner });
     }
     stats.bags += bags.len();
-    Ok(Node::Split(Box::new(SplitNode { cover, bags })))
+    let assignment: Vec<u32> = (0..g.n() as Vertex).map(|a| cover.bag_of(a)).collect();
+    Ok(Node::Split(Box::new(SplitNode {
+        assignment: assignment.into(),
+        bags,
+    })))
 }
 
 /// Decode-side recursion cap. The builder never exceeds `max_rounds`
@@ -383,7 +392,7 @@ fn write_node(node: &Node, w: &mut nd_persist::Writer) {
         }
         Node::Split(split) => {
             w.u8(2);
-            split.cover.write_into(w);
+            w.u32_slab(&split.assignment);
             w.seq_len(split.bags.len());
             for bag in &split.bags {
                 bag.sub.write_into(w);
@@ -396,10 +405,10 @@ fn write_node(node: &Node, w: &mut nd_persist::Writer) {
 }
 
 /// Decode one recursion level over an `n`-vertex graph. Every structural
-/// property `test_node` indexes by — ball-table length, subgraph size,
-/// `X ∖ {s}` embeddings — is re-checked here; the membership store is the
-/// one structure not cross-validated (see `test_node`), which degrades to
-/// wrong-but-safe answers on forged payloads.
+/// property `test_node` indexes by — ball-table and assignment lengths,
+/// subgraph size, recoloring-table lengths — is re-checked here. The
+/// assignment's bag ids are range-checked under full verification only;
+/// `test_node` answers `false` on a bad id instead of indexing by it.
 fn read_node(
     r: &mut nd_persist::Reader<'_>,
     n: usize,
@@ -434,31 +443,26 @@ fn read_node(
             Node::Bfs(g)
         }
         2 => {
-            let cover = Cover::read_from(r)?;
-            if cover.n() != n {
-                return Err(malformed("oracle cover does not match the vertex count"));
+            let assignment = r.u32_slab("oracle bag assignment")?;
+            if assignment.len() != n {
+                return Err(malformed(
+                    "oracle bag assignment does not match the vertex count",
+                ));
             }
             let num_bags = r.seq_len(1, "oracle bag count")?;
-            if num_bags != cover.num_bags() {
-                return Err(malformed("oracle bag list does not match the cover"));
+            if r.should_validate() && assignment.iter().any(|&id| id as usize >= num_bags) {
+                return Err(malformed("oracle bag assignment targets a missing bag"));
             }
             let mut bags = Vec::with_capacity(num_bags);
-            for id in 0..num_bags {
+            for _ in 0..num_bags {
                 let sub = InducedSubgraph::read_from(r)?;
                 let s = r.u32("oracle splitter vertex")?;
                 let ri = r.byte_slice("oracle recoloring table")?;
-                let verts = &cover.bag(id as u32).verts;
-                if verts.binary_search(&s).is_err() {
-                    return Err(malformed("oracle splitter vertex outside its bag"));
+                if s as usize >= n || sub.to_local(s).is_some() {
+                    return Err(malformed("oracle splitter vertex is not a bag member"));
                 }
-                // sub must be exactly X ∖ {s}: the test path localizes any
-                // bag member ≠ s through it and unwraps the result.
-                if sub.n() + 1 != verts.len()
-                    || !verts.iter().filter(|&&v| v != s).eq(sub.global_ids.iter())
-                {
-                    return Err(malformed(
-                        "oracle subgraph is not the bag minus its splitter",
-                    ));
+                if sub.global_ids.last().is_some_and(|&v| v as usize >= n) {
+                    return Err(malformed("oracle bag member out of range"));
                 }
                 if ri.len() != sub.n() {
                     return Err(malformed("oracle recoloring table has the wrong length"));
@@ -466,7 +470,7 @@ fn read_node(
                 let inner = read_node(r, sub.n(), depth + 1)?;
                 bags.push(BagNode { sub, s, ri, inner });
             }
-            Node::Split(Box::new(SplitNode { cover, bags }))
+            Node::Split(Box::new(SplitNode { assignment, bags }))
         }
         3 => {
             let count = r.seq_len(8, "oracle ball count")?;
@@ -504,19 +508,13 @@ fn test_node(node: &Node, r: u32, a: Vertex, b: Vertex) -> bool {
         Node::NaiveDense(grid) => grid.contains(a, b),
         Node::Bfs(g) => BfsScratch::new(g.n()).distance_capped(g, a, b, r).is_some(),
         Node::Split(split) => {
-            // Localize to the canonical bag of a: N_r(a) ⊆ X(a).
-            let id = split.cover.bag_of(a);
-            if !split.cover.contains(id, b) {
+            // Localize to the canonical bag of a: N_r(a) ⊆ X(a). X is s
+            // plus sub's embedding, so the `to_local` lookups below are
+            // the `b ∈ X` test. Lazy decodes leave bag ids unchecked.
+            let Some(bag) = split.bags.get(split.assignment[a as usize] as usize) else {
                 return false;
-            }
-            let bag = &split.bags[id as usize];
+            };
             let s = bag.s;
-            // On an oracle built in-process the bag always contains both
-            // endpoints here. On a decoded oracle the membership store is
-            // not cross-validated against the bag lists (doing so would
-            // cost a trie probe per member at load), so a forged payload
-            // behind intact CRCs can make `contains` lie — answer false
-            // rather than panic in that case.
             match (a == s, b == s) {
                 (true, true) => true,
                 (true, false) => match bag.sub.to_local(b) {

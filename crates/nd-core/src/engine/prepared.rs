@@ -18,7 +18,7 @@
 //!
 //! * an equality pins the candidate; an edge constraint scans the anchor's
 //!   adjacency list; a `dist ≤ d` constraint scans the anchor's cover bag
-//!   through the Storing-Theorem successor structure (candidates are
+//!   by successor steps in its sorted member list (candidates are
 //!   confined to the bag because `N_d(a) ⊆ X(a)`) — the paper's "Case II";
 //! * far-only constraints take the minimum of (a) per-anchor scans of the
 //!   kernels `K_r(X(a_i))` and (b) a `SKIP` jump over `L_j` past all those
@@ -60,7 +60,11 @@ use std::time::Instant;
 /// Preparation options.
 #[derive(Clone, Debug)]
 pub struct PrepareOpts {
-    /// The pseudo-linearity accuracy `ε` used by covers and stores.
+    /// The paper's pseudo-linearity accuracy `ε`. It must be finite and
+    /// positive, and it changes no index byte: the cover and the oracle
+    /// store each bag once as a sorted list, with no `ε`-shaped store. So
+    /// the coarsened-`ε` rung repeats the Indexed build under a fresh
+    /// budget.
     pub epsilon: f64,
     /// Distance-oracle construction knobs.
     pub dist: DistOracleOpts,
@@ -103,8 +107,8 @@ pub enum DegradationRung {
     /// The paper's machinery at the requested `ε`.
     #[default]
     Indexed,
-    /// The paper's machinery after a budget overrun forced a coarser `ε`
-    /// (flatter stores, fewer/larger structures).
+    /// The paper's machinery retried under a fresh budget at a coarser
+    /// `ε` after a budget overrun (no index structure depends on `ε`).
     CoarsenedEpsilon,
     /// Naive materialization (budget-checked).
     NaiveFallback,
@@ -226,8 +230,6 @@ pub struct Timings {
     pub cover_ms: u64,
     /// … per-bag kernel computation (Lemma 5.7), …
     pub kernel_ms: u64,
-    /// … the Storing-Theorem membership store build, …
-    pub store_ms: u64,
     /// … and the skip-pointer closure (Lemma 5.8).
     pub skip_ms: u64,
     /// Wall-clock milliseconds of the latest apply.
@@ -288,7 +290,6 @@ impl PrepareStats {
         o.field_u64("threads", timings.threads as u64)
             .field_u64("cover_ms", timings.cover_ms)
             .field_u64("kernel_ms", timings.kernel_ms)
-            .field_u64("store_ms", timings.store_ms)
             .field_u64("skip_ms", timings.skip_ms)
             .field_u64("epoch", self.epoch)
             .field_u64("log_digest", self.log_digest)
@@ -386,7 +387,8 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
     /// 1. **Indexed** — the paper's machinery at `opts.epsilon`, within
     ///    `opts.budget`;
     /// 2. **CoarsenedEpsilon** — on a budget overrun, one retry with
-    ///    `min(2ε, 1)` (fewer/flatter structures), with a fresh budget;
+    ///    `min(2ε, 1)` and a fresh budget (`ε` changes no index byte, so
+    ///    this repeats the Indexed build under the new budget);
     /// 3. **NaiveFallback** — budget-checked materialization, also used
     ///    when the query is outside the fragment;
     /// 4. a typed [`PrepareError`] when every permitted rung fails.
@@ -607,7 +609,6 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
             for b in bs {
                 t.cover_ms += b.timings.cover_ms;
                 t.kernel_ms += b.timings.kernel_ms;
-                t.store_ms += b.timings.store_ms;
                 t.skip_ms += b.timings.skip_ms;
             }
         }
@@ -835,7 +836,7 @@ impl<G: Borrow<ColoredGraph>> PreparedQuery<G> {
                 removed_edges: &removed_edges,
                 edge_touched: &edge_touched,
             };
-            match b.repaired(bi, old_g, &new_g, &diff, opts) {
+            match b.repaired(bi, old_g, &new_g, &diff) {
                 Ok((eng, bags)) => {
                     lineage.repaired_bags += bags;
                     new_bs.push(eng);
@@ -962,7 +963,6 @@ struct BranchEngine {
 struct PhaseTimings {
     cover_ms: u64,
     kernel_ms: u64,
-    store_ms: u64,
     skip_ms: u64,
 }
 
@@ -1168,9 +1168,7 @@ impl BranchEngine {
         let needs_kernels = engine.fq.binary.iter().any(|c| c.kind.excluding());
         if needs_cover {
             let cover = Cover::try_build(g, 2 * r, epsilon, tracker)?;
-            let ct = cover.build_timings();
-            engine.timings.cover_ms = ct.greedy_ms;
-            engine.timings.store_ms = ct.store_ms;
+            engine.timings.cover_ms = cover.build_timings().greedy_ms;
             engine.cover = Some(cover);
         }
         if needs_kernels {
@@ -1226,7 +1224,6 @@ impl BranchEngine {
         old_g: &ColoredGraph,
         new_g: &ColoredGraph,
         diff: &LogFootprint<'_>,
-        opts: &PrepareOpts,
     ) -> Result<(BranchEngine, usize), RebuildReason> {
         let LogFootprint {
             added_edges,
@@ -1388,7 +1385,7 @@ impl BranchEngine {
         } = eng;
         if let Some(cover) = cover {
             let old_bags = cover.num_bags();
-            let report = cover.repair(new_g, added_edges, opts.epsilon);
+            let report = cover.repair(new_g, added_edges);
             if let Some(kernels) = kernels {
                 let dirty = dirty_bags(cover, edge_touched, old_bags);
                 let changed = kernels.repair(new_g, cover, &dirty);
@@ -1507,8 +1504,8 @@ impl BranchEngine {
             })
             .min();
         if let Some((_, i)) = le_anchor {
-            // Case II: candidates confined to the anchor's bag; walk it via
-            // the Storing-Theorem successor structure.
+            // Case II: candidates confined to the anchor's bag; walk its
+            // sorted member list by successor steps.
             let cover = self.cover.as_ref().expect("cover built for Le");
             let bag = cover.bag_of(prefix[i]);
             let mut w = cover.successor_in_bag(bag, b0)?;
@@ -1654,7 +1651,7 @@ fn write_phase(w: &mut Writer, p: Phase) {
         Phase::CoverConstruction => 3,
         Phase::KernelConstruction => 4,
         Phase::SkipClosure => 5,
-        Phase::TrieBuild => 6,
+        // 6 was the retired trie-build phase.
         Phase::NaiveMaterialize => 7,
         Phase::Admission => 8,
     });
@@ -1668,7 +1665,6 @@ fn read_phase(r: &mut Reader<'_>) -> Result<Phase, PersistError> {
         3 => Phase::CoverConstruction,
         4 => Phase::KernelConstruction,
         5 => Phase::SkipClosure,
-        6 => Phase::TrieBuild,
         7 => Phase::NaiveMaterialize,
         8 => Phase::Admission,
         _ => return Err(malformed("invalid budget phase")),
@@ -2167,8 +2163,8 @@ impl SharedPreparedQuery {
     }
 
     /// Load an index by mmapping its container and serving the bulk
-    /// arrays (graph CSR, stores, skip tables, ball grids, unary lists)
-    /// straight out of the mapped pages. Small or variable sections (AST,
+    /// arrays (graph CSR, skip tables, oracle assignments and ball grids,
+    /// unary lists) straight out of the mapped pages. Small or variable sections (AST,
     /// metadata, cover structure) still decode owned. Falls back to the
     /// owned decode on platforms without mmap. The mapping stays alive for as long as any
     /// decoded structure borrows from it (`Arc`-pinned per slab), and a
@@ -2549,7 +2545,7 @@ mod tests {
     fn parallel_prepare_is_identical_to_sequential() {
         // The prepared index is the same value for every thread count.
         // Checked across ≥ 3 seeds via (a) stats equality — bag counts,
-        // store sizes, skip entries, charge totals — and (b) full
+        // cover sizes, skip entries, charge totals — and (b) full
         // enumeration equality.
         for seed in [11u64, 22, 33] {
             let g = colored(generators::random_tree(60, seed), seed);
@@ -2650,7 +2646,7 @@ mod tests {
 
         let path = mmap_tmp("version");
         let policies = [VerifyPolicy::Full, VerifyPolicy::Lazy];
-        for word in [2u32, 3, 3 | 1 << 16, 5, 0, u32::MAX] {
+        for word in [2u32, 3, 3 | 1 << 16, 4, 6, 0, u32::MAX] {
             let mut c = bytes.clone();
             c[8..12].copy_from_slice(&word.to_le_bytes());
             let want = PersistError::UnsupportedVersion {
@@ -2829,6 +2825,77 @@ mod tests {
             }
         }
         // High bits push a vertex past n; low bits keep it in range.
+        assert!(
+            rejected > 0 && settled > 0,
+            "{rejected} rejected, {settled} settled"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Under `--verify lazy` a mapped load checks only the lengths of the
+    /// bulk arrays before the first probe. Bytes flipped at a stride
+    /// across the whole engine section — skip-table rows and values, the
+    /// oracle's split-level bag assignments, everything else in ENGN —
+    /// must give a typed load error or an index whose probes never panic,
+    /// and the deferred settle must still report the corruption.
+    #[test]
+    fn lazy_mmap_probes_survive_engine_byte_flips() {
+        let g = colored(generators::perturbed_grid(10, 10, 15, 5), 9);
+        let src = "dist(x,y) > 2 && Blue(y)";
+        let q = parse_query(src).unwrap();
+        // One split level keeps the oracle, and so the section, small
+        // enough to flip densely.
+        let opts = PrepareOpts {
+            dist: DistOracleOpts {
+                max_rounds: 1,
+                ..small_opts().dist
+            },
+            ..small_opts()
+        };
+        let pq = PreparedQuery::prepare(&g, &q, &opts).unwrap();
+        let stats = pq.stats();
+        assert!(stats.skip_entries > 0, "the index must hold skip tables");
+        assert!(stats.oracle_depth > 0, "the oracle must have a split level");
+        let bytes = pq.save_index_bytes(&q, src).unwrap();
+        let engine = parse_container_frames(&bytes).unwrap()[3];
+        assert_eq!(engine.tag, SEC_ENGINE);
+        let base = engine.payload.as_ptr() as usize - bytes.as_ptr() as usize;
+
+        let path = mmap_tmp("lazy-engine-flip");
+        let lazy = MmapLoadOpts {
+            verify: VerifyPolicy::Lazy,
+            prewarm: false,
+        };
+        let (mut rejected, mut settled) = (0, 0);
+        for off in (0..engine.payload.len()).step_by(5) {
+            let mut c = bytes.clone();
+            c[base + off] ^= 0xa5;
+            std::fs::write(&path, &c).unwrap();
+            let loaded = match SharedPreparedQuery::load_index_mmap(&path, &lazy) {
+                Ok(loaded) => loaded,
+                Err(_) => {
+                    rejected += 1;
+                    continue;
+                }
+            };
+            let panel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = loaded.prepared.enumerate().take(50).count();
+                for v in (0..g.n() as Vertex).step_by(7) {
+                    let _ = loaded.prepared.test(&[v, (v * 5) % g.n() as Vertex]);
+                    let _ = loaded.prepared.next_solution(&[v, 0]);
+                }
+            }));
+            assert!(panel.is_ok(), "ENGN offset {off}: a probe panicked");
+            let deferred = loaded.deferred.expect("lazy load defers CRCs");
+            assert!(
+                matches!(
+                    deferred.verify(),
+                    Err(PersistError::ChecksumMismatch { .. })
+                ),
+                "ENGN offset {off}: corrupt ENGN passed the deferred checksum"
+            );
+            settled += 1;
+        }
         assert!(
             rejected > 0 && settled > 0,
             "{rejected} rejected, {settled} settled"

@@ -113,19 +113,23 @@ pub struct SkipPointers {
     truncated: bool,
 }
 
-/// `SKIP(b, S)` probe against a CSR row view. Free function so the
-/// descending-vertex builder can query rows it has already finalized
-/// before the final structure exists.
+/// `SKIP(b, S)` probe against the finished CSR arrays (`starts` has
+/// length `n + 1`). A table decoded under lazy verification has had only
+/// its lengths checked, so a row that is out of range or inverted, or a
+/// value that is neither [`NO_SKIP`] nor `< n`, reads as
+/// [`Entry::Absent`]; the caller's linear-scan fallback is correct.
 #[inline]
 fn csr_get(starts: &[u32], sets: &[BagSet], vals: &[u32], v: Vertex, set: BagSet) -> Entry {
+    let n = starts.len() - 1;
     let lo = starts[v as usize] as usize;
     let hi = starts[v as usize + 1] as usize;
-    match sets[lo..hi].binary_search(&set) {
-        Ok(i) => Entry::Present(match vals[lo + i] {
-            NO_SKIP => None,
-            x => Some(x),
-        }),
-        Err(_) => Entry::Absent,
+    let Some(row) = sets.get(lo..hi) else {
+        return Entry::Absent;
+    };
+    match row.binary_search(&set).map(|i| vals[lo + i]) {
+        Ok(NO_SKIP) => Entry::Present(None),
+        Ok(x) if (x as usize) < n => Entry::Present(Some(x)),
+        _ => Entry::Absent,
     }
 }
 
@@ -564,9 +568,9 @@ impl SkipPointers {
         let sets: Slab<BagSet> = r.u128_slab("skip table sets")?;
         let vals = r.u32_slab("skip table values")?;
         // Always-on O(1) shape checks: every `starts[v]`/`starts[v+1]`
-        // row probe must be in bounds even under lazy verification (a
-        // hostile *offset* can still raise a safe slice panic there; the
-        // deferred CRC is the backstop).
+        // row probe must be in bounds even under lazy verification.
+        // Hostile offsets and values inside those bounds are caught per
+        // probe by `csr_get`, which reads them as absent entries.
         if starts.len() != n + 1 {
             return Err(malformed("skip row offsets sized for another n"));
         }
@@ -834,7 +838,7 @@ mod tests {
                     .collect();
                 let removed: Vec<(Vertex, Vertex)> =
                     g.edges().filter(|&(u, v)| !h.has_edge(u, v)).collect();
-                cover.repair(&h, &added, 0.5);
+                cover.repair(&h, &added);
                 let mut dirty: Vec<BagId> = added
                     .iter()
                     .chain(&removed)

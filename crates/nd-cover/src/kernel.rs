@@ -505,7 +505,7 @@ mod tests {
                     .collect();
                 let removed: Vec<(Vertex, Vertex)> =
                     g.edges().filter(|&(u, v)| !h.has_edge(u, v)).collect();
-                cover.repair(&h, &added, 0.5);
+                cover.repair(&h, &added);
                 // Dirty bags: every bag containing a mutated-edge endpoint,
                 // plus the bags the cover repair spawned.
                 let mut dirty: Vec<BagId> = added

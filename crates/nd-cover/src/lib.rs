@@ -14,10 +14,10 @@
 //! (experiment E2) and is small on the sparse families the paper targets.
 //! See DESIGN.md §2 for the substitution argument.
 //!
-//! Bag membership and smallest-member-≥ queries are answered in constant
-//! time through the Storing Theorem structure ([`nd_store::KeySet`]) keyed
-//! by `(bag, vertex)` pairs, exactly as sketched below Theorem 4.4 in the
-//! paper.
+//! Each bag is stored once, as its sorted member list. The paper answers
+//! "is `b` in `X`" and "smallest member of `X` that is `≥ b`" through the
+//! Storing Theorem (sketched below Theorem 4.4); here both are a binary
+//! search in the bag, `O(log |X|)` (DESIGN.md §2).
 
 pub mod kernel;
 
@@ -25,19 +25,15 @@ pub use kernel::{kernel_of_bag, kernel_of_bag_with, KernelIndex, KernelScratch};
 
 use nd_graph::budget::{BudgetExceeded, BudgetTracker, Phase};
 use nd_graph::{BfsScratch, ColoredGraph, Vertex};
-use nd_store::{KeySet, StoreParams};
 use std::time::Instant;
 
 /// Index of a bag within a cover.
 pub type BagId = u32;
 
-/// Wall-clock breakdown of a cover build, for `PrepareStats`'s per-phase
-/// timings: the greedy bag construction vs. the Storing-Theorem
-/// membership store (`TrieBuild`).
+/// Wall-clock cost of a cover build, for the engine's per-phase timings.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoverTimings {
     pub greedy_ms: u64,
-    pub store_ms: u64,
 }
 
 /// Outcome of a [`Cover::repair`] pass (feeds `PrepareStats`).
@@ -69,16 +65,15 @@ pub struct Cover {
     bags_of: Vec<Vec<BagId>>,
     /// For each bag, the vertices `b` with `X(b) = bag` (sorted).
     assigned_members: Vec<Vec<Vertex>>,
-    /// Storing-Theorem membership structure keyed by `(bag, vertex)`.
-    membership: KeySet,
     /// Build-time phase breakdown (not part of the cover's value — two
     /// covers built from the same input are equal regardless of timings).
     timings: CoverTimings,
 }
 
 impl Cover {
-    /// Greedy `(r, 2r)`-cover of `g`; `epsilon` parameterizes the membership
-    /// store.
+    /// Greedy `(r, 2r)`-cover of `g`. `epsilon` is accepted for API
+    /// stability and changes nothing: no structure of the cover depends
+    /// on it.
     ///
     /// Unbudgeted convenience; see [`Cover::try_build`] for cooperative
     /// cancellation.
@@ -87,14 +82,14 @@ impl Cover {
             .expect("unlimited budget cannot be exceeded")
     }
 
-    /// Greedy `(r, 2r)`-cover of `g`, charging BFS visits and trie inserts
+    /// Greedy `(r, 2r)`-cover of `g`, charging BFS visits and bag storage
     /// against `tracker` so that a capped preprocessing run bails out with
     /// [`BudgetExceeded`] instead of building an `Ω(n²)` cover on a dense
     /// graph.
     pub fn try_build(
         g: &ColoredGraph,
         r: u32,
-        epsilon: f64,
+        _epsilon: f64,
         tracker: &BudgetTracker,
     ) -> Result<Cover, BudgetExceeded> {
         let t_greedy = Instant::now();
@@ -144,24 +139,6 @@ impl Cover {
             assigned_members[assignment[v] as usize].push(v as Vertex);
         }
 
-        let greedy_ms = t_greedy.elapsed().as_millis() as u64;
-        let t_store = Instant::now();
-        let params = StoreParams::new(n.max(bags.len()).max(1) as u64, 2, epsilon.max(1e-9));
-        // Bags are enumerated in id order with sorted member lists, so the
-        // packed (bag, vertex) keys come out strictly increasing — the
-        // membership store builds in one bulk pass instead of
-        // insert-at-a-time with per-key successor repairs.
-        let mut packed = Vec::with_capacity(bags.iter().map(|b| b.verts.len()).sum());
-        for (id, bag) in bags.iter().enumerate() {
-            // nd-store has no budget hooks of its own (it sits below
-            // nd-graph in the DAG); its callers charge store work here.
-            tracker.charge_nodes(Phase::TrieBuild, bag.verts.len() as u64)?;
-            tracker.charge_memory(Phase::TrieBuild, 16 * bag.verts.len() as u64)?;
-            for &v in &bag.verts {
-                packed.push(params.pack(&[id as u64, v as u64]));
-            }
-        }
-        let membership = KeySet::from_sorted_packed(params, packed);
         tracker.checkpoint(Phase::CoverConstruction)?;
 
         Ok(Cover {
@@ -170,10 +147,8 @@ impl Cover {
             assignment,
             bags_of,
             assigned_members,
-            membership,
             timings: CoverTimings {
-                greedy_ms,
-                store_ms: t_store.elapsed().as_millis() as u64,
+                greedy_ms: t_greedy.elapsed().as_millis() as u64,
             },
         })
     }
@@ -214,27 +189,12 @@ impl Cover {
         &self.bags_of[v as usize]
     }
 
-    /// Constant-time membership test via the Storing Theorem structure.
-    pub fn contains(&self, id: BagId, v: Vertex) -> bool {
-        self.membership.contains(&[id as u64, v as u64])
-    }
-
-    /// Smallest member of the bag that is `≥ v` (constant time) — the
-    /// `b_X` lookup of the answering phase (Section 5.2.2).
+    /// Smallest member of the bag that is `≥ v` — the `b_X` lookup of the
+    /// answering phase (Section 5.2.2). A binary search in the sorted bag,
+    /// `O(log |X|)`, in place of the paper's Storing-Theorem store.
     pub fn successor_in_bag(&self, id: BagId, v: Vertex) -> Option<Vertex> {
-        let params = self.membership.params();
-        if (v as u64) >= params.n {
-            return None;
-        }
-        let packed = params.pack(&[id as u64, v as u64]);
-        match self.membership.successor_inclusive_packed(packed) {
-            Some(next) => {
-                let mut key = [0u64; 2];
-                params.unpack_into(next, &mut key);
-                (key[0] == id as u64).then_some(key[1] as Vertex)
-            }
-            None => None,
-        }
+        let verts = &self.bags[id as usize].verts;
+        verts.get(verts.partition_point(|&w| w < v)).copied()
     }
 
     /// The cover degree `δ(X)`: maximum number of bags meeting at a vertex.
@@ -247,12 +207,10 @@ impl Cover {
         self.bags.iter().map(|b| b.verts.len()).sum()
     }
 
-    /// Append the cover's binary encoding to `w` (DESIGN.md §9).
-    ///
-    /// The Storing-Theorem membership store — the expensive part of a
-    /// cover build (`store_ms` dominates on dense families) — is
-    /// serialized verbatim; the cheap inverted indexes (`bags_of`,
-    /// `assigned_members`) are rebuilt on load in `O(Σ_X |X| + n)`.
+    /// Append the cover's binary encoding to `w` (DESIGN.md §9): the
+    /// assignment and the sorted bag lists. The inverted indexes
+    /// (`bags_of`, `assigned_members`) are rebuilt on load in
+    /// `O(Σ_X |X| + n)`.
     pub fn write_into(&self, w: &mut nd_persist::Writer) {
         w.u32(self.r);
         w.seq_len(self.assignment.len());
@@ -264,7 +222,6 @@ impl Cover {
             w.u32(bag.center);
             w.u32_slice(&bag.verts);
         }
-        self.membership.write_into(w);
     }
 
     /// Decode a cover, re-validating the invariants the accessors index by
@@ -293,15 +250,6 @@ impl Cover {
         if assignment.iter().any(|&id| (id as usize) >= num_bags) {
             return Err(malformed("cover assignment targets a missing bag"));
         }
-        let membership = KeySet::read_from(r)?;
-        // successor_in_bag packs (bag, vertex) pairs through these params;
-        // a mismatched shape would trip the packer's arity contract.
-        if membership.params().k != 2 {
-            return Err(malformed("cover membership store must be binary"));
-        }
-        if membership.params().n < n.max(num_bags).max(1) as u64 {
-            return Err(malformed("cover membership key range too small"));
-        }
         let mut bags_of: Vec<Vec<BagId>> = vec![Vec::new(); n];
         for (id, bag) in bags.iter().enumerate() {
             for &v in &bag.verts {
@@ -318,7 +266,6 @@ impl Cover {
             assignment,
             bags_of,
             assigned_members,
-            membership,
             timings: CoverTimings::default(),
         })
     }
@@ -332,21 +279,15 @@ impl Cover {
     /// never answers.
     ///
     /// `g` is the post-mutation graph (it may have more vertices than the
-    /// cover; appended vertices are assigned here), `added_edges` the edges
-    /// present in `g` but not in the graph the cover was built on, and
-    /// `epsilon` parameterizes membership-store growth. Edge *removals*
-    /// only shrink balls and need no repair.
+    /// cover; appended vertices are assigned here) and `added_edges` the
+    /// edges present in `g` but not in the graph the cover was built on.
+    /// Edge *removals* only shrink balls and need no repair.
     ///
     /// Existing bags are frozen: a vertex whose `r`-ball escaped its bag is
     /// reassigned to another bag already containing the ball, or spawns a
     /// fresh `N_{2r}` bag. Cost is proportional to the mutated
     /// neighborhoods, not to `n`.
-    pub fn repair(
-        &mut self,
-        g: &ColoredGraph,
-        added_edges: &[(Vertex, Vertex)],
-        epsilon: f64,
-    ) -> CoverRepair {
+    pub fn repair(&mut self, g: &ColoredGraph, added_edges: &[(Vertex, Vertex)]) -> CoverRepair {
         let old_n = self.assignment.len();
         let n = g.n();
         assert!(n >= old_n, "repair graph must extend the covered domain");
@@ -358,7 +299,7 @@ impl Cover {
         // Appended vertices first: they need an assignment before the
         // violation scan below can consult `bag_of` for them.
         for v in old_n as Vertex..n as Vertex {
-            self.assign_vertex(g, v, None, &mut scratch, epsilon, &mut report);
+            self.assign_vertex(g, v, None, &mut scratch, &mut report);
         }
 
         // A vertex `v` can violate `N_r(v) ⊆ X(v)` only through a shortest
@@ -403,7 +344,7 @@ impl Cover {
         }
         for v in violating {
             let old_id = self.assignment[v as usize];
-            self.assign_vertex(g, v, Some(old_id), &mut scratch, epsilon, &mut report);
+            self.assign_vertex(g, v, Some(old_id), &mut scratch, &mut report);
         }
         report
     }
@@ -418,7 +359,6 @@ impl Cover {
         v: Vertex,
         prev: Option<BagId>,
         scratch: &mut BfsScratch,
-        epsilon: f64,
         report: &mut CoverRepair,
     ) {
         let ball = scratch.ball_sorted(g, v, self.r);
@@ -434,12 +374,10 @@ impl Cover {
                 // N_r(v) and satisfies the 2r-ball bound by construction.
                 let id = self.bags.len() as BagId;
                 let verts = scratch.ball_sorted(g, v, 2 * self.r);
-                self.ensure_membership_capacity(self.n().max(self.bags.len() + 1) as u64, epsilon);
                 for &x in &verts {
                     // `id` is the largest bag id so far: pushing keeps the
                     // per-vertex bag lists sorted.
                     self.bags_of[x as usize].push(id);
-                    self.membership.insert(&[id as u64, x as u64]);
                 }
                 self.bags.push(Bag { center: v, verts });
                 self.assigned_members.push(Vec::new());
@@ -462,24 +400,6 @@ impl Cover {
         if let Err(i) = members.binary_search(&v) {
             members.insert(i, v);
         }
-    }
-
-    /// Grow the Storing-Theorem membership store when bag or vertex ids
-    /// outgrow its key range. Doubling keeps repeated single-mutation
-    /// repairs from rebuilding the store every time; the rebuild itself is
-    /// a bulk sorted pass (bags in id order, members sorted).
-    fn ensure_membership_capacity(&mut self, needed: u64, epsilon: f64) {
-        if self.membership.params().n >= needed.max(1) {
-            return;
-        }
-        let params = StoreParams::new(needed.max(1) * 2, 2, epsilon.max(1e-9));
-        let mut packed = Vec::with_capacity(self.bags.iter().map(|b| b.verts.len()).sum());
-        for (id, bag) in self.bags.iter().enumerate() {
-            for &v in &bag.verts {
-                packed.push(params.pack(&[id as u64, v as u64]));
-            }
-        }
-        self.membership = KeySet::from_sorted_packed(params, packed);
     }
 
     /// Verify only the covering half of the invariant — `N_r(a) ⊆ X(a)` on
@@ -550,7 +470,7 @@ mod tests {
         let cover = Cover::build(&g, 2, 0.5);
         for v in g.vertices() {
             let id = cover.bag_of(v);
-            assert!(cover.contains(id, v));
+            assert_eq!(cover.successor_in_bag(id, v), Some(v));
             assert!(cover.assigned_members(id).binary_search(&v).is_ok());
         }
         let total: usize = (0..cover.num_bags() as BagId)
@@ -560,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn membership_and_successor() {
+    fn successor_in_bag_agrees_with_a_scan() {
         let g = generators::path(20);
         let cover = Cover::build(&g, 2, 0.5);
         let id = cover.bag_of(10);
@@ -624,7 +544,6 @@ mod tests {
                 assert_eq!(back.bag(id).verts, cover.bag(id).verts);
                 assert_eq!(back.assigned_members(id), cover.assigned_members(id));
                 for v in 0..g.n() as Vertex {
-                    assert_eq!(back.contains(id, v), cover.contains(id, v));
                     assert_eq!(back.successor_in_bag(id, v), cover.successor_in_bag(id, v));
                 }
             }
@@ -693,7 +612,7 @@ mod tests {
                 for r in [2u32, 4] {
                     let mut cover = Cover::build(g, r, 0.5);
                     let (h, added) = mutate(g, seed * 31 + gi as u64, 12);
-                    let report = cover.repair(&h, &added, 0.5);
+                    let report = cover.repair(&h, &added);
                     cover.validate_covering(&h);
                     assert_eq!(cover.n(), h.n());
                     // Assignment bookkeeping stays a partition.
@@ -703,25 +622,24 @@ mod tests {
                     assert_eq!(total, h.n());
                     for v in h.vertices() {
                         let id = cover.bag_of(v);
-                        assert!(cover.contains(id, v));
+                        assert_eq!(cover.successor_in_bag(id, v), Some(v));
                         assert!(cover.assigned_members(id).binary_search(&v).is_ok());
                         for &b in cover.bags_containing(v) {
                             assert!(cover.bag(b).verts.binary_search(&v).is_ok());
                         }
                     }
-                    // Membership store and successor queries agree with the
-                    // bag lists, including for repair-spawned bags.
+                    // Successor queries agree with the bag lists, including
+                    // for repair-spawned bags.
                     for id in 0..cover.num_bags() as BagId {
                         let verts = &cover.bag(id).verts;
                         for v in 0..h.n() as Vertex {
-                            assert_eq!(cover.contains(id, v), verts.binary_search(&v).is_ok());
                             let want = verts.iter().copied().find(|&w| w >= v);
                             assert_eq!(cover.successor_in_bag(id, v), want);
                         }
                     }
                     // An untouched graph repairs to a no-op.
                     let mut untouched = Cover::build(g, r, 0.5);
-                    let noop = untouched.repair(g, &[], 0.5);
+                    let noop = untouched.repair(g, &[]);
                     assert_eq!(noop, CoverRepair::default());
                     let _ = report;
                 }
@@ -737,14 +655,14 @@ mod tests {
         let mut cover = Cover::build(&g, 2, 0.5);
         let mut h = g.clone();
         assert!(h.try_add_edge(0, 99).unwrap());
-        let report = cover.repair(&h, &[(0, 99)], 0.5);
+        let report = cover.repair(&h, &[(0, 99)]);
         assert!(report.new_bags > 0 || report.reassigned > 0);
         cover.validate_covering(&h);
     }
 
     #[test]
-    fn repair_grows_the_membership_store() {
-        // Enough appended vertices to outgrow the original key range.
+    fn repair_covers_appended_vertices() {
+        // Appended vertices outnumber the original ones.
         let g = generators::path(6);
         let mut cover = Cover::build(&g, 2, 0.5);
         let mut d = nd_graph::CsrDelta::new();
@@ -761,9 +679,11 @@ mod tests {
             .edges()
             .filter(|&(u, v)| (v as usize) >= g.n() || !g.has_edge(u, v))
             .collect();
-        cover.repair(&h, &added, 0.5);
+        cover.repair(&h, &added);
         cover.validate_covering(&h);
-        assert!(cover.membership.params().n >= h.n() as u64);
+        for v in g.n() as Vertex..h.n() as Vertex {
+            assert_eq!(cover.successor_in_bag(cover.bag_of(v), v), Some(v));
+        }
     }
 
     #[test]

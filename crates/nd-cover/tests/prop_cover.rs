@@ -28,11 +28,11 @@ proptest! {
     fn cover_conditions_hold(g in arb_graph(), r in 1u32..4) {
         let cover = Cover::build(&g, r, 0.5);
         cover.validate(&g);
-        // Membership structure agrees with the bag lists.
+        // Successor queries agree with a scan of the bag list.
         for id in 0..cover.num_bags() as BagId {
-            for v in g.vertices() {
-                let direct = cover.bag(id).verts.binary_search(&v).is_ok();
-                prop_assert_eq!(cover.contains(id, v), direct);
+            for v in 0..=g.n() as Vertex {
+                let direct = cover.bag(id).verts.iter().copied().find(|&w| w >= v);
+                prop_assert_eq!(cover.successor_in_bag(id, v), direct);
             }
         }
     }

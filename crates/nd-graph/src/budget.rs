@@ -40,8 +40,6 @@ pub enum Phase {
     KernelConstruction,
     /// Closure of the skip-pointer function `SC(b)` (Lemma 5.8).
     SkipClosure,
-    /// Storing-Theorem trie inserts.
-    TrieBuild,
     /// Naive `O(n^k)` materialization fallback.
     NaiveMaterialize,
     /// Serving-runtime admission control (`nd-serve`): the budget is
@@ -59,7 +57,6 @@ impl fmt::Display for Phase {
             Phase::CoverConstruction => "cover construction",
             Phase::KernelConstruction => "kernel construction",
             Phase::SkipClosure => "skip-pointer closure",
-            Phase::TrieBuild => "trie build",
             Phase::NaiveMaterialize => "naive materialization",
             Phase::Admission => "admission control",
         };
@@ -327,7 +324,7 @@ mod tests {
         for _ in 0..10_000 {
             t.charge_nodes(Phase::CoverConstruction, 1_000_000).unwrap();
         }
-        t.checkpoint(Phase::TrieBuild).unwrap();
+        t.checkpoint(Phase::SkipClosure).unwrap();
         assert!(t.nodes_spent() >= 10_000 * 1_000_000);
     }
 
@@ -346,10 +343,10 @@ mod tests {
     #[test]
     fn memory_cap_and_release() {
         let t = Budget::default().with_memory_bytes(100).start();
-        t.charge_memory(Phase::TrieBuild, 80).unwrap();
+        t.charge_memory(Phase::CoverConstruction, 80).unwrap();
         t.release_memory(50);
-        t.charge_memory(Phase::TrieBuild, 60).unwrap();
-        assert!(t.charge_memory(Phase::TrieBuild, 50).is_err());
+        t.charge_memory(Phase::CoverConstruction, 60).unwrap();
+        assert!(t.charge_memory(Phase::CoverConstruction, 50).is_err());
     }
 
     #[test]

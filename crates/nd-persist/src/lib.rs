@@ -34,11 +34,13 @@ pub const MAGIC: [u8; 8] = *b"NDQIDX\r\n";
 /// [`PersistError::UnsupportedVersion`] rather than guessing: there is one
 /// on-disk generation, and a build that changes any layout bumps it.
 ///
-/// v4 places every section payload at a 16-byte file offset and pads bulk
-/// arrays inside payloads to 16-byte payload offsets, which is what lets a
-/// mapped file be served in place as `&[u32]`/`&[u64]`/`&[u128]` slices
-/// with zero copies. Store sections hold the flat sorted arena.
-pub const FORMAT_VERSION: u32 = 4;
+/// Every section payload sits at a 16-byte file offset and bulk arrays
+/// inside payloads are padded to 16-byte payload offsets, which is what
+/// lets a mapped file be served in place as `&[u32]`/`&[u64]`/`&[u128]`
+/// slices with zero copies. v5 stores each cover bag once: the cover and
+/// every distance-oracle level hold sorted bag lists and no
+/// Storing-Theorem membership store.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Decoders refuse single length prefixes beyond this many elements, so a
 /// corrupted length field fails typed instead of attempting a huge

@@ -338,14 +338,17 @@ fn mmap_load_hostile_inputs_yield_typed_errors_and_keep_serving() {
         assert!(reply.starts_with("err read:"), "len {len}: {reply}");
     }
 
-    // A retired format generation (the v3.1 version word) is refused by
-    // the framing check before any section is decoded or cast.
-    {
+    // Retired format generations (the v3.1 and v4 version words) are
+    // refused by the framing check before any section is decoded or cast.
+    for word in [0x0001_0003u32, 4] {
         let mut retired = clean.clone();
-        retired[8..12].copy_from_slice(&0x0001_0003u32.to_le_bytes());
+        retired[8..12].copy_from_slice(&word.to_le_bytes());
         std::fs::write(&path, &retired).unwrap();
         let reply = line(session.handle(&cmd));
-        assert!(reply.starts_with("err read:"), "retired version: {reply}");
+        assert!(
+            reply.starts_with("err read:"),
+            "retired version {word:#x}: {reply}"
+        );
     }
 
     // A directory and a missing file are read errors, not panics.

@@ -36,13 +36,15 @@
 //!   directory fix-up, weaker than the paper's `O(n^ε)` bound but with a
 //!   far smaller constant; callers with sustained random-update workloads
 //!   (e.g. the dynamic far index) deliberately stay on [`crate::FnStore`].
-//!   Appends past the current maximum (the cover-repair pattern: a newly
-//!   spawned bag always has the largest id) skip the memmove entirely.
+//!   Appends past the current maximum skip the memmove entirely.
 //! * **Serialization is free**: the sorted key array is its own canonical
 //!   encoding, so the codec is a length check plus a slice decode. It also
 //!   serializes the *canonical* directory (recomputed from the keys at
 //!   save time, so the bytes stay a pure function of the stored mapping)
 //!   so a mapped load does no `O(|Dom|)` recount at all.
+//!
+//! No engine path builds a `FlatStore` (see [`crate::KeySet`]); it stays
+//! for the benchmark's `store.*` replay and for experiment A10.
 
 use crate::params::StoreParams;
 use crate::trie::{Lookup, LookupPacked};

@@ -43,6 +43,11 @@ pub use trie::{FnStore, Lookup, LookupPacked};
 /// probe plus an expected-`O(1)` binary search, and the on-disk form is
 /// the arena itself. The pointer trie ([`FnStore`]) remains available for
 /// sustained random-update workloads.
+///
+/// No engine path builds a `KeySet` or a [`FlatStore`]: the cover and the
+/// distance oracle store each bag once as a sorted list and answer
+/// membership by binary search. Both types stay for the benchmark's
+/// `store.*` replay of the former cover store and for experiment A10.
 #[derive(Clone)]
 pub struct KeySet {
     inner: FlatStore,
@@ -64,9 +69,9 @@ impl KeySet {
     }
 
     /// Bulk build from keys already in strictly increasing lexicographic
-    /// order — one `O(|keys|)` pass, no per-key search or memmove. This is
-    /// the cover-membership path: bags are enumerated in id order with
-    /// sorted member lists, so the `(bag, vertex)` pairs arrive sorted.
+    /// order — one `O(|keys|)` pass, no per-key search or memmove (e.g.
+    /// `(bag, vertex)` pairs from bags in id order with sorted member
+    /// lists).
     pub fn from_sorted_keys<'a>(
         params: StoreParams,
         keys: impl IntoIterator<Item = &'a [u64]>,
